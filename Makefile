@@ -64,6 +64,7 @@ obs-smoke:
 	for f in artifacts/BENCH_*.json; do \
 	  grep -q '"metrics"' $$f || { echo "$$f: no metrics"; exit 1; }; \
 	  grep -q '"seed"' $$f || { echo "$$f: no seed"; exit 1; }; \
+	  grep -q '"peak_rss_mb"' $$f || { echo "$$f: no peak_rss_mb"; exit 1; }; \
 	done
 	mkdir -p artifacts
 	dune exec bin/zoomie_cli.exe -- hub --clients 4 --trace artifacts/hub_trace_smoke.json > /dev/null

@@ -44,15 +44,46 @@ let current_seed () = !seed
 
 let out_dir = "artifacts"
 
+(* Peak resident set size of this process so far (VmHWM), in MB; nan
+   (written as null) where /proc/self/status is unavailable. *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> Float.nan
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> Float.nan
+      | line -> (
+        match Scanf.sscanf line "VmHWM: %d kB" Fun.id with
+        | kb -> float_of_int kb /. 1024.0
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> scan ())
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
+(* The process's memory so far: peak RSS, the OCaml heap's high-water
+   mark and the words allocated since start-up. *)
+let memory_fields () =
+  let st = Gc.quick_stat () in
+  [
+    ("peak_rss_mb", Num (peak_rss_mb ()));
+    ( "top_heap_mb",
+      Num (float_of_int (st.Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576.0) );
+    ( "alloc_mwords",
+      Num ((st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words) /. 1e6) );
+  ]
+
 (** [write ~case fields] writes [artifacts/BENCH_<case>.json] and returns
-    the path written.  A ["seed"] field is appended unless the caller
-    already supplied one. *)
+    the path written.  ["seed"], ["peak_rss_mb"], ["top_heap_mb"] and
+    ["alloc_mwords"] fields are appended unless the caller already
+    supplied them. *)
 let write ~case fields =
   (try Unix.mkdir out_dir 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let fields =
-    if List.mem_assoc "seed" fields then fields
-    else fields @ [ ("seed", Int !seed) ]
+    fields
+    @ List.filter
+        (fun (k, _) -> not (List.mem_assoc k fields))
+        (("seed", Int !seed) :: memory_fields ())
   in
   (* Every record must carry a metrics snapshot: a bench result without
      its zoomie_obs context can't be compared across PRs.  Fail the run

@@ -27,15 +27,12 @@ type bitstream = {
   bs_dynamic : Region.t list;  (** regions being reconfigured *)
 }
 
-(* State bits resident in one configuration frame — the inverse of the
-   locmap walks below, precomputed per design so capture/restore touch
-   only the frames a readback actually transfers instead of sweeping
-   every state bit on the SLR. *)
-type frame_bits = {
-  fb_ffs : (int * int * int) array;  (* ff index, frame word, frame bit *)
-  fb_mems : (int * int * int * int * int) array;
-      (* mem index, addr, mem bit, frame word, frame bit *)
-}
+(* The state bits resident in one (row, column) cell of an SLR's region
+   grid, per frame minor, as packed ints: FFs as [(ff lsl 12) lor pos],
+   memory sites as [(mem lsl 32) lor site ordinal], where [pos] is
+   [word * 32 + bit] within the frame.  A site's bits are never stored;
+   [iter_mem_bits] expands them from the closed-form layouts. *)
+type cell = { c_ffs : int array array; c_mems : int array array }
 
 type t = {
   device : Device.t;
@@ -46,9 +43,8 @@ type t = {
   meter : Jtag.Meter.t;
   mutable fpga_cycles : int;
   mutable lease : string option;
-  mutable state_index :
-    (payload * (int * int * int, frame_bits) Hashtbl.t array) option;
-      (* per-SLR frame-key -> state-bits map for the keyed payload *)
+  mutable index : (payload * cell array array) option;
+      (* per-SLR state index of the keyed payload (see [build_index]) *)
   mutable cable_scale : float;
       (* wall seconds slept per modeled cable second during execute;
          0 = pure model (default) *)
@@ -131,221 +127,164 @@ let run_batch t cycles =
 
 let uc t i = t.ucs.(i)
 
-(* Iterate FF cells resident on SLR [slr]; honors the CTL0 GSR/capture
-   restriction when set. *)
-let iter_slr_ffs t ~slr f =
-  match t.design with
-  | None -> ()
-  | Some (p, sim) ->
-    let restricted = Uc.gsr_restricted t.ucs.(slr) in
-    Array.iteri
-      (fun i (site : Loc.ff_site) ->
-        if site.f_slr = slr then
-          let visible =
-            (not restricted)
-            || Region.contains_any t.dynamic_regions ~slr ~row:site.f_row
-                 ~col:site.f_col
-          in
-          if visible then f i site sim)
-      p.locmap.Loc.ff_sites
+(* --- the per-frame state index ------------------------------------------ *)
 
-let iter_slr_mem_bits t ~slr f =
-  match t.design with
-  | None -> ()
-  | Some (p, sim) ->
-    let restricted = Uc.gsr_restricted t.ucs.(slr) in
-    Array.iteri
-      (fun mi placement ->
-        let m = p.netlist.Netlist.mems.(mi) in
-        match placement with
-        | Loc.In_bram sites ->
-          let width_blocks = (m.Netlist.mem_width + 35) / 36 in
-          for addr = 0 to m.Netlist.mem_depth - 1 do
-            for bit = 0 to m.Netlist.mem_width - 1 do
-              let brow, bcol, within =
-                Loc.bram_bit_position ~depth:m.Netlist.mem_depth ~addr ~bit
-              in
-              let ordinal = (brow * width_blocks) + bcol in
-              if ordinal < Array.length sites then begin
-                let site = sites.(ordinal) in
-                if site.Loc.b_slr = slr then
-                  let visible =
-                    (not restricted)
-                    || Region.contains_any t.dynamic_regions ~slr
-                         ~row:site.Loc.b_row ~col:site.Loc.b_col
-                  in
-                  if visible then
-                    let minor, word, fbit =
-                      Geometry.bram_location ~tile:site.Loc.b_tile ~bit:within
-                    in
-                    f ~mi ~addr ~bit
-                      ~key:(site.Loc.b_row, site.Loc.b_col, minor)
-                      ~word ~fbit sim
-              end
-            done
-          done
-        | Loc.In_lutram sites ->
-          let depth_units = (m.Netlist.mem_depth + 63) / 64 in
-          for addr = 0 to m.Netlist.mem_depth - 1 do
-            for bit = 0 to m.Netlist.mem_width - 1 do
-              let depth_unit, bitcol, within = Loc.lutram_bit_position ~addr ~bit in
-              let ordinal = (bitcol * depth_units) + depth_unit in
-              if ordinal < Array.length sites then begin
-                let site = sites.(ordinal) in
-                if site.Loc.l_slr = slr then
-                  let visible =
-                    (not restricted)
-                    || Region.contains_any t.dynamic_regions ~slr
-                         ~row:site.Loc.l_row ~col:site.Loc.l_col
-                  in
-                  if visible then
-                    let minor, word, fbit =
-                      Geometry.lut_location ~tile:site.Loc.l_tile
-                        ~site:site.Loc.l_index ~bit:within
-                    in
-                    f ~mi ~addr ~bit
-                      ~key:(site.Loc.l_row, site.Loc.l_col, minor)
-                      ~word ~fbit sim
-              end
-            done
-          done)
-      p.locmap.Loc.mem_placements
+(* Is state at (row, col) on [slr] visible to capture/restore?  Not when
+   a partial bitstream has left the CTL0 GSR restriction set and (row,
+   col) lies outside the dynamic regions.  Every site of a frame shares
+   its key's (row, col), so this is one test per frame. *)
+let visible t ~slr ~row ~col =
+  (not (Uc.gsr_restricted t.ucs.(slr)))
+  || Region.contains_any t.dynamic_regions ~slr ~row ~col
 
-(* --- frame-key -> state-bits reverse index ----------------------------- *)
+let no_state = { c_ffs = [||]; c_mems = [||] }
 
-(* One walk over the whole design (all SLRs at once), mirroring the bit
-   layout of [iter_slr_ffs]/[iter_slr_mem_bits] exactly.  Visibility
-   (GSR restriction + dynamic regions) is NOT baked in: it depends on
-   runtime CTL0 state, and every site in a frame shares the frame key's
-   (row, col), so the filter collapses to one check per frame at use
-   time. *)
-let build_state_index t (p : payload) =
-  let n = Array.length t.ucs in
-  let tmp = Array.init n (fun _ -> Hashtbl.create 1024) in
-  let cell slr key =
-    let tbl = tmp.(slr) in
-    match Hashtbl.find_opt tbl key with
-    | Some c -> c
-    | None ->
-      let c = (ref [], ref []) in
-      Hashtbl.add tbl key c;
-      c
+(* One pass over the payload's FF cells and memory sites — nothing per
+   memory bit — into a dense per-SLR grid of cells.  A BRAM site lands in
+   each frame its bits reach (the content frames from bit 0 to its last
+   valid bit), a LUTRAM site in its LUT's frame. *)
+let build_index t (p : payload) =
+  let grids = Array.map (fun u -> Array.make (u.Uc.region_rows * Uc.num_columns u) None) t.ucs in
+  let add ~mem slr ~row ~col ~minor v =
+    let u = t.ucs.(slr) in
+    let c = (row * Uc.num_columns u) + col in
+    let ffs, mems =
+      match grids.(slr).(c) with
+      | Some b -> b
+      | None ->
+        let n = Geometry.frames_per_column u.Uc.layout.Geometry.columns.(col) in
+        let b = (Array.make n [], Array.make n []) in
+        grids.(slr).(c) <- Some b;
+        b
+    in
+    let l = if mem then mems else ffs in
+    l.(minor) <- v :: l.(minor)
   in
   Array.iteri
-    (fun i (site : Loc.ff_site) ->
-      let minor, word, bit = Loc.ff_frame_bit site in
-      let ffs, _ = cell site.Loc.f_slr (site.Loc.f_row, site.Loc.f_col, minor) in
-      ffs := (i, word, bit) :: !ffs)
+    (fun i (s : Loc.ff_site) ->
+      let minor, word, bit = Loc.ff_frame_bit s in
+      add ~mem:false s.Loc.f_slr ~row:s.Loc.f_row ~col:s.Loc.f_col ~minor
+        ((i lsl 12) lor (word lsl 5) lor bit))
     p.locmap.Loc.ff_sites;
   Array.iteri
     (fun mi placement ->
       let m = p.netlist.Netlist.mems.(mi) in
-      match placement with
-      | Loc.In_bram sites ->
-        let width_blocks = (m.Netlist.mem_width + 35) / 36 in
-        for addr = 0 to m.Netlist.mem_depth - 1 do
-          for bit = 0 to m.Netlist.mem_width - 1 do
-            let brow, bcol, within =
-              Loc.bram_bit_position ~depth:m.Netlist.mem_depth ~addr ~bit
-            in
-            let ordinal = (brow * width_blocks) + bcol in
-            if ordinal < Array.length sites then begin
-              let site = sites.(ordinal) in
-              let minor, word, fbit =
-                Geometry.bram_location ~tile:site.Loc.b_tile ~bit:within
-              in
-              let _, mems =
-                cell site.Loc.b_slr (site.Loc.b_row, site.Loc.b_col, minor)
-              in
-              mems := (mi, addr, bit, word, fbit) :: !mems
-            end
-          done
-        done
-      | Loc.In_lutram sites ->
-        let depth_units = (m.Netlist.mem_depth + 63) / 64 in
-        for addr = 0 to m.Netlist.mem_depth - 1 do
-          for bit = 0 to m.Netlist.mem_width - 1 do
-            let depth_unit, bitcol, within = Loc.lutram_bit_position ~addr ~bit in
-            let ordinal = (bitcol * depth_units) + depth_unit in
-            if ordinal < Array.length sites then begin
-              let site = sites.(ordinal) in
-              let minor, word, fbit =
-                Geometry.lut_location ~tile:site.Loc.l_tile
-                  ~site:site.Loc.l_index ~bit:within
-              in
-              let _, mems =
-                cell site.Loc.l_slr (site.Loc.l_row, site.Loc.l_col, minor)
-              in
-              mems := (mi, addr, bit, word, fbit) :: !mems
-            end
-          done
-        done)
+      let depth = m.Netlist.mem_depth and width = m.Netlist.mem_width in
+      if depth > 0 && width > 0 then
+        match placement with
+        | Loc.In_bram sites ->
+          let wb = (width + 35) / 36 in
+          Array.iteri
+            (fun k (s : Loc.bram_site) ->
+              let addr0 = k / wb * 1024 and bit0 = k mod wb * 36 in
+              if addr0 < depth then begin
+                let last_addr = min (addr0 + 1023) (depth - 1)
+                and last_bit = min (bit0 + 35) (width - 1) in
+                let _, _, within = Loc.bram_bit_position ~depth ~addr:last_addr ~bit:last_bit in
+                let first, _, _ = Geometry.bram_location ~tile:s.Loc.b_tile ~bit:0 in
+                let last, _, _ = Geometry.bram_location ~tile:s.Loc.b_tile ~bit:within in
+                for minor = first to last do
+                  add ~mem:true s.Loc.b_slr ~row:s.Loc.b_row ~col:s.Loc.b_col ~minor
+                    ((mi lsl 32) lor k)
+                done
+              end)
+            sites
+        | Loc.In_lutram sites ->
+          let units = (depth + 63) / 64 in
+          Array.iteri
+            (fun k (s : Loc.lut_site) ->
+              if k / units < width then
+                let minor, _, _ =
+                  Geometry.lut_location ~tile:s.Loc.l_tile ~site:s.Loc.l_index ~bit:0
+                in
+                add ~mem:true s.Loc.l_slr ~row:s.Loc.l_row ~col:s.Loc.l_col ~minor
+                  ((mi lsl 32) lor k))
+            sites)
     p.locmap.Loc.mem_placements;
+  let pack = Array.map (fun l -> Array.of_list (List.rev l)) in
   Array.map
-    (fun tbl ->
-      let out = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
-      Hashtbl.iter
-        (fun key (ffs, mems) ->
-          Hashtbl.add out key
-            {
-              fb_ffs = Array.of_list (List.rev !ffs);
-              fb_mems = Array.of_list (List.rev !mems);
-            })
-        tbl;
-      out)
-    tmp
+    (Array.map (function
+      | None -> no_state
+      | Some (ffs, mems) -> { c_ffs = pack ffs; c_mems = pack mems }))
+    grids
 
 (* Keyed on the payload's physical identity: (re)configuration installs a
-   fresh payload, which invalidates the cache by construction. *)
-let state_index t (p : payload) =
-  match t.state_index with
+   fresh payload, which invalidates the index by construction. *)
+let index t (p : payload) =
+  match t.index with
   | Some (p', idx) when p' == p -> idx
   | _ ->
-    let idx = build_state_index t p in
-    t.state_index <- Some (p, idx);
+    let idx = build_index t p in
+    t.index <- Some (p, idx);
     idx
 
-(* Every site in a frame shares the key's (row, col), so the GSR
-   restriction check of [iter_slr_ffs]/[iter_slr_mem_bits] is one test
-   per frame here. *)
-let frame_visible t ~slr key =
-  (not (Uc.gsr_restricted t.ucs.(slr)))
-  ||
-  let row, col, _ = key in
-  Region.contains_any t.dynamic_regions ~slr ~row ~col
+(* The state of frame [key] on [slr], when it holds any and is visible:
+   its packed FFs and memory sites. *)
+let frame_state t p ~slr (row, col, minor) =
+  let c = (index t p).(slr).((row * Uc.num_columns t.ucs.(slr)) + col) in
+  if
+    minor < Array.length c.c_ffs
+    && (c.c_ffs.(minor) <> [||] || c.c_mems.(minor) <> [||])
+    && visible t ~slr ~row ~col
+  then Some (c.c_ffs.(minor), c.c_mems.(minor))
+  else None
+
+let bits_per_frame = Geometry.words_per_frame * 32
+
+(* [f mi addr bit pos] for every bit the memory [sites] of frame [minor]
+   hold: the inverse of Loc.bram_bit_position with Geometry.bram_location
+   (1024 x 36 blocks, each spread over consecutive content frames) and of
+   Loc.lutram_bit_position with Geometry.lut_location (64 x 1 per LUT,
+   two words per tile). *)
+let iter_mem_bits (p : payload) sites ~minor f =
+  Array.iter
+    (fun e ->
+      let mi = e lsr 32 and k = e land 0xFFFFFFFF in
+      let m = p.netlist.Netlist.mems.(mi) in
+      let depth = m.Netlist.mem_depth and width = m.Netlist.mem_width in
+      match p.locmap.Loc.mem_placements.(mi) with
+      | Loc.In_bram s ->
+        let wb = (width + 35) / 36 in
+        let addr0 = k / wb * 1024 and bit0 = k mod wb * 36 in
+        let first, _, _ = Geometry.bram_location ~tile:s.(k).Loc.b_tile ~bit:0 in
+        let lo = (minor - first) * bits_per_frame in
+        let rows = min 1024 (depth - addr0) and cols = min 36 (width - bit0) in
+        for a = lo / 36 to min (rows - 1) ((lo + bits_per_frame - 1) / 36) do
+          for b = 0 to cols - 1 do
+            let pos = (a * 36) + b - lo in
+            if pos >= 0 && pos < bits_per_frame then f mi (addr0 + a) (bit0 + b) pos
+          done
+        done
+      | Loc.In_lutram s ->
+        let units = (depth + 63) / 64 in
+        let addr0 = k mod units * 64 and bit = k / units in
+        let _, word0, _ =
+          Geometry.lut_location ~tile:s.(k).Loc.l_tile ~site:s.(k).Loc.l_index ~bit:0
+        in
+        for a = 0 to min 63 (depth - addr0 - 1) do
+          f mi (addr0 + a) bit ((word0 * 32) + a)
+        done)
+    sites
+
+let get_bit f pos = (f.(pos lsr 5) lsr (pos land 31)) land 1 = 1
+
+let set_bit f pos v =
+  let w = pos lsr 5 and m = 1 lsl (pos land 31) in
+  f.(w) <- (if v then f.(w) lor m else f.(w) land lnot m)
 
 (* The lazy half of GCAPTURE: refresh the state bits of one frame from
    the live design, at FDRO read time. *)
-let fill_frame t slr key =
+let fill_frame t slr ((_, _, minor) as key) =
   match t.design with
   | None -> ()
   | Some (p, sim) -> (
-    match Hashtbl.find_opt (state_index t p).(slr) key with
+    match frame_state t p ~slr key with
     | None -> ()
-    | Some fb ->
-      if frame_visible t ~slr key then begin
-        let frames = t.ucs.(slr).Uc.frames in
-        Array.iter
-          (fun (i, word, bit) ->
-            Frames.set_bit frames key ~word ~bit (Netsim.ff_value sim i))
-          fb.fb_ffs;
-        Array.iter
-          (fun (mi, addr, bit, word, fbit) ->
-            Frames.set_bit frames key ~word ~bit:fbit
-              (Netsim.mem_bit sim mi ~addr ~bit))
-          fb.fb_mems
-      end)
-
-(* GCAPTURE, eagerly: arm the µc and materialize every state frame of
-   SLR [slr].  The packet-stream path never calls this — FDRO reads
-   materialize lazily via [fill_frame] — but the exported entry point
-   keeps the "snapshot now" contract for direct frame inspection. *)
-let capture_slr t slr =
-  Uc.arm_capture t.ucs.(slr);
-  match t.design with
-  | None -> ()
-  | Some (p, _) ->
-    Hashtbl.iter (fun key _ -> fill_frame t slr key) (state_index t p).(slr)
+    | Some (ffs, mems) ->
+      let f = Frames.frame t.ucs.(slr).Uc.frames key in
+      Array.iter (fun e -> set_bit f (e land 0xFFF) (Netsim.ff_value sim (e lsr 12))) ffs;
+      iter_mem_bits p mems ~minor (fun mi addr bit pos ->
+          set_bit f pos (Netsim.mem_bit sim mi ~addr ~bit)))
 
 (* GRESTORE: drive the frames written since the last GCAPTURE back into
    live state.  Clean frames either mirror the fabric already (captured)
@@ -356,34 +295,31 @@ let restore_slr t slr =
   | None -> ()
   | Some (p, sim) ->
     let u = t.ucs.(slr) in
-    let idx = (state_index t p).(slr) in
     let applied = ref false in
     List.iter
-      (fun key ->
-        match Hashtbl.find_opt idx key with
+      (fun ((_, _, minor) as key) ->
+        match frame_state t p ~slr key with
         | None -> ()
-        | Some fb ->
-          if frame_visible t ~slr key then begin
-            applied := true;
-            Uc.mark_clean u key;
-            let frames = u.Uc.frames in
-            Array.iter
-              (fun (i, word, bit) ->
-                Netsim.set_ff sim i (Frames.get_bit frames key ~word ~bit))
-              fb.fb_ffs;
-            Array.iter
-              (fun (mi, addr, bit, word, fbit) ->
-                Netsim.set_mem_bit sim mi ~addr ~bit
-                  (Frames.get_bit frames key ~word ~bit:fbit))
-              fb.fb_mems
-          end)
+        | Some (ffs, mems) ->
+          applied := true;
+          Uc.mark_clean u key;
+          let f = Frames.frame u.Uc.frames key in
+          Array.iter (fun e -> Netsim.set_ff sim (e lsr 12) (get_bit f (e land 0xFFF))) ffs;
+          iter_mem_bits p mems ~minor (fun mi addr bit pos ->
+              Netsim.set_mem_bit sim mi ~addr ~bit (get_bit f pos)))
       (Uc.dirty_keys u);
     if !applied then Netsim.eval_comb sim
 
 (* START: pulse GSR — FFs (within the restriction) take their init value. *)
 let start_slr t slr =
-  iter_slr_ffs t ~slr (fun i _site sim ->
-      Netsim.set_ff sim i (payload t).netlist.Netlist.ffs.(i).Netlist.init)
+  match t.design with
+  | None -> ()
+  | Some (p, sim) ->
+    Array.iteri
+      (fun i (s : Loc.ff_site) ->
+        if s.Loc.f_slr = slr && visible t ~slr ~row:s.Loc.f_row ~col:s.Loc.f_col then
+          Netsim.set_ff sim i p.netlist.Netlist.ffs.(i).Netlist.init)
+      p.locmap.Loc.ff_sites
 
 let create device =
   let t =
@@ -396,7 +332,7 @@ let create device =
       meter = Jtag.Meter.create ();
       fpga_cycles = 0;
       lease = None;
-      state_index = None;
+      index = None;
       cable_scale = 0.0;
       cable_debt = 0.0;
     }
@@ -681,7 +617,7 @@ let load t (bs : bitstream) =
     | None -> ());
     t.design <- Some (p, fresh);
     t.batch <- None;
-    t.state_index <- None;
+    t.index <- None;
     Netsim.eval_comb fresh
   | None -> ());
   (* The primary µc rejects the whole configuration on IDCODE mismatch. *)

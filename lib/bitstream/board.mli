@@ -37,32 +37,9 @@ type bitstream = {
   bs_dynamic : Region.t list;  (** regions being reconfigured *)
 }
 
-(** The state bits resident in one configuration frame (reverse of the
-    locmap): precomputed per design so capture/restore touch only the
-    frames a readback actually transfers. *)
-type frame_bits = {
-  fb_ffs : (int * int * int) array;  (** ff index, frame word, frame bit *)
-  fb_mems : (int * int * int * int * int) array;
-      (** mem index, addr, mem bit, frame word, frame bit *)
-}
-
-type t = {
-  device : Device.t;
-  ucs : Uc.t array;  (** one configuration uc per SLR *)
-  mutable design : (payload * Netsim.t) option;
-  mutable batch : Netsim_batch.t option;  (** lazy 63-lane shadow model *)
-  mutable dynamic_regions : Region.t list;
-  meter : Jtag.Meter.t;  (** the instrumented transport meter *)
-  mutable fpga_cycles : int;  (** user-clock cycles executed *)
-  mutable lease : string option;  (** advisory ownership lease *)
-  mutable state_index :
-    (payload * (int * int * int, frame_bits) Hashtbl.t array) option;
-      (** per-SLR frame-key -> state-bits cache for the keyed payload *)
-  mutable cable_scale : float;
-      (** wall seconds slept per modeled cable second (0 = pure model) *)
-  mutable cable_debt : float;
-      (** unslept cable wall time, paid off in >=5ms chunks *)
-}
+(** A board: the per-SLR configuration µcs, the live design model, the
+    transport meter and the lazily built per-frame state index. *)
+type t
 
 val create : Device.t -> t
 
@@ -151,33 +128,11 @@ val uc : t -> int -> Uc.t
     These are the GCAPTURE / GRESTORE / start-up mechanics of §4.5,
     honoring the CTL0 GSR mask restriction of §4.7: when a partial
     reconfiguration has left the mask set, only state inside the dynamic
-    regions is visible to capture/restore. *)
-
-(** Iterate the FF cells resident on one SLR (index, site, live model). *)
-val iter_slr_ffs : t -> slr:int -> (int -> Loc.ff_site -> Netsim.t -> unit) -> unit
-
-(** Iterate the memory bits resident on one SLR, with both their logical
-    coordinates (memory index, address, bit) and their frame coordinates
-    (site key, frame word, bit-in-word). *)
-val iter_slr_mem_bits :
-  t ->
-  slr:int ->
-  (mi:int ->
-  addr:int ->
-  bit:int ->
-  key:int * int * int ->
-  word:int ->
-  fbit:int ->
-  Netsim.t ->
-  unit) ->
-  unit
-
-(** GCAPTURE on one SLR, eagerly: snapshot live FF/memory state into its
-    frames.  The packet-stream path is lazier — a GCAPTURE command only
-    arms the µc, and each frame's state bits materialize when an FDRO
-    read actually serves that frame — but this entry point materializes
-    everything at once for direct frame inspection. *)
-val capture_slr : t -> int -> unit
+    regions is visible to capture/restore.  A GCAPTURE only arms the µc;
+    each frame's state bits materialize when an FDRO read serves it,
+    through a per-frame state index built on the payload's first capture
+    or restore (one pass over its FF cells and memory sites) and dropped
+    by {!load}. *)
 
 (** GRESTORE on one SLR: drive the frames written since the last
     GCAPTURE back into live state (clean frames already mirror the

@@ -4,7 +4,7 @@
     touch; a frame is {!Zoomie_fabric.Geometry.words_per_frame} words.
     This is the "SRAM" a real device's configuration plane writes — the
     board reads LUT equations, FF init/captured state and memory contents
-    out of it. *)
+    out of it.  Callers look a frame up once and work on its words. *)
 
 (** (row, column, minor). *)
 type key = int * int * int
@@ -13,23 +13,6 @@ type t
 
 val create : unit -> t
 
-(** The frame at [key], allocating zeroed storage on first touch. *)
+(** The frame at [key] — its live storage, allocated zeroed on first
+    touch. *)
 val frame : t -> key -> int array
-
-val read_word : t -> key -> int -> int
-
-val write_word : t -> key -> int -> int -> unit
-
-val get_bit : t -> key -> word:int -> bit:int -> bool
-
-val set_bit : t -> key -> word:int -> bit:int -> bool -> unit
-
-(** Copy of the frame's contents. *)
-val read_frame : t -> key -> int array
-
-val write_frame : t -> key -> int array -> unit
-
-(** Number of frames touched so far. *)
-val allocated : t -> int
-
-val clear : t -> unit

@@ -118,12 +118,12 @@ let write_fdri_words t data =
   let n = Array.length data in
   while !i < n do
     if far_valid t then begin
-      let row, col, minor = t.far in
+      let f = Frames.frame t.frames t.far in
       let take = min wpf (n - !i) in
       for k = 0 to take - 1 do
-        Frames.write_word t.frames (row, col, minor) k data.(!i + k)
+        f.(k) <- data.(!i + k) land 0xFFFFFFFF
       done;
-      mark_dirty t (row, col, minor);
+      mark_dirty t t.far;
       i := !i + take;
       advance_far t
     end
@@ -136,15 +136,12 @@ let read_fdro_words t ~count =
   let i = ref 0 in
   while !i < count do
     if far_valid t then begin
-      let row, col, minor = t.far in
+      let key = t.far in
       (* Lazy GCAPTURE: materialize this frame's state bits only now that
          someone reads them.  Dirty frames keep their written content. *)
-      if t.captured && not (frame_dirty t (row, col, minor)) then
-        t.hooks.on_frame_read (row, col, minor);
+      if t.captured && not (frame_dirty t key) then t.hooks.on_frame_read key;
       let take = min wpf (count - !i) in
-      for k = 0 to take - 1 do
-        out.(!i + k) <- Frames.read_word t.frames (row, col, minor) k
-      done;
+      Array.blit (Frames.frame t.frames key) 0 out !i take;
       i := !i + take;
       advance_far t
     end

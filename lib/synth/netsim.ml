@@ -862,29 +862,33 @@ let set_mem_bit t mi ~addr ~bit v =
     Array.iter (fun c -> enqueue t c) t.p.C.mem_readers.(mi)
   end
 
+(* The (FF index, bit) cells of register [name], in FF order ([] when
+   the design has none): one pass over the FF names that allocates only
+   the result. *)
+let register_bits t name =
+  let names = (netlist t).ff_names in
+  let bits = ref [] in
+  for i = Array.length names - 1 downto 0 do
+    let n, bit = names.(i) in
+    if String.equal n name then bits := (i, bit) :: !bits
+  done;
+  !bits
+
 (** Read back a register by its RTL hierarchical name (via ff_names
     metadata), returning its multi-bit value. *)
 let read_register t name =
-  let nl = netlist t in
-  let bits =
-    Array.to_list nl.ff_names
-    |> List.mapi (fun i (n, bit) -> (i, n, bit))
-    |> List.filter (fun (_, n, _) -> n = name)
-  in
+  let bits = register_bits t name in
   if bits = [] then
     invalid_arg (Printf.sprintf "Netsim.read_register: unknown %S" name);
-  let width = 1 + List.fold_left (fun m (_, _, b) -> max m b) 0 bits in
+  let width = 1 + List.fold_left (fun m (_, b) -> max m b) 0 bits in
   let r = ref (Zoomie_rtl.Bits.zero width) in
   List.iter
-    (fun (i, _, bit) -> if ff_value t i then r := Zoomie_rtl.Bits.set !r bit true)
+    (fun (i, bit) -> if ff_value t i then r := Zoomie_rtl.Bits.set !r bit true)
     bits;
   !r
 
 let write_register t name v =
-  let nl = netlist t in
-  Array.iteri
-    (fun i (n, bit) ->
-      if n = name && bit < Zoomie_rtl.Bits.width v then
-        set_ff t i (Zoomie_rtl.Bits.get v bit))
-    nl.ff_names;
+  List.iter
+    (fun (i, bit) -> if bit < Zoomie_rtl.Bits.width v then set_ff t i (Zoomie_rtl.Bits.get v bit))
+    (register_bits t name);
   eval_comb t

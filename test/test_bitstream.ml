@@ -181,14 +181,15 @@ let test_jtag_accounting_scales () =
   Alcotest.(check bool) "hops cost" true (t2 -. t1 > t1 -. t0)
 
 let test_frame_store () =
-  let f = Zoomie_bitstream.Frames.create () in
-  Zoomie_bitstream.Frames.set_bit f (1, 2, 3) ~word:5 ~bit:17 true;
-  Alcotest.(check bool) "bit set" true
-    (Zoomie_bitstream.Frames.get_bit f (1, 2, 3) ~word:5 ~bit:17);
-  Alcotest.(check bool) "other bit clear" false
-    (Zoomie_bitstream.Frames.get_bit f (1, 2, 3) ~word:5 ~bit:16);
-  Alcotest.(check int) "unconfigured frame reads zero" 0
-    (Zoomie_bitstream.Frames.read_word f (9, 9, 9) 0)
+  let module Frames = Zoomie_bitstream.Frames in
+  let f = Frames.create () in
+  let fr = Frames.frame f (1, 2, 3) in
+  Alcotest.(check int) "frame length" Geometry.words_per_frame (Array.length fr);
+  fr.(5) <- 1 lsl 17;
+  Alcotest.(check int) "a second look-up sees the same storage" (1 lsl 17)
+    (Frames.frame f (1, 2, 3)).(5);
+  Alcotest.(check int) "other frames untouched" 0 (Frames.frame f (1, 2, 4)).(5);
+  Alcotest.(check int) "unconfigured frame reads zero" 0 (Frames.frame f (9, 9, 9)).(0)
 
 let suite =
   [
@@ -265,3 +266,255 @@ let suite =
       QCheck_alcotest.to_alcotest prop_executor_total;
       QCheck_alcotest.to_alcotest prop_frame_write_read;
     ]
+
+(* --- the board's per-frame state index, against the forward maps --- *)
+
+module Loc = Zoomie_fabric.Loc
+module Region = Zoomie_fabric.Region
+module Netlist = Zoomie_synth.Netlist
+module Netsim = Zoomie_synth.Netsim
+module Vivado = Zoomie_vendor.Vivado
+
+(* FFs, a block RAM deeper than one 1024-entry block and wider than one
+   36-bit block (both last blocks ragged) and a LUTRAM deeper than one
+   64-entry LUT. *)
+let state_design ~bram_depth ~bram_width ~lut_depth ~extra =
+  let b = Builder.create "state_top" in
+  let clk = Builder.clock b "clk" in
+  let count =
+    Builder.reg_fb b ~clock:clk "count" 11 ~next:(fun q -> Expr.(q +: const_int ~width:11 1))
+  in
+  let shadow =
+    Builder.reg_fb b ~clock:clk "shadow" extra ~next:(fun q ->
+        Expr.(Slice (Concat (q, Signal count), extra - 1, 0)))
+  in
+  let data = Expr.Slice (Expr.Concat (Expr.Signal shadow, Expr.Concat (Expr.Signal count, Expr.Signal count)), bram_width - 1, 0) in
+  let bram_out = Builder.mem_read_wire b "bram_out" bram_width in
+  Builder.memory b ~name:"bram" ~width:bram_width ~depth:bram_depth
+    ~writes:[ { Circuit.w_clock = clk; w_enable = Expr.vdd; w_addr = Expr.Signal count; w_data = data } ]
+    ~reads:[ { Circuit.r_addr = Expr.Signal count; r_out = bram_out; r_kind = Circuit.Read_sync clk } ]
+    ();
+  let lut_out = Builder.mem_read_wire b "lut_out" 5 in
+  let lut_addr = Expr.Slice (Expr.Signal count, 6, 0) in
+  Builder.memory b ~name:"lutram" ~width:5 ~depth:lut_depth
+    ~writes:
+      [ { Circuit.w_clock = clk; w_enable = Expr.vdd; w_addr = lut_addr;
+          w_data = Expr.Slice (Expr.Signal count, 4, 0) } ]
+    ~reads:[ { Circuit.r_addr = lut_addr; r_out = lut_out; r_kind = Circuit.Read_comb } ]
+    ();
+  ignore (Builder.output b "o_bram" bram_width (Expr.Signal bram_out));
+  ignore (Builder.output b "o_lut" 5 (Expr.Signal lut_out));
+  let device = Device.u200 () in
+  Vivado.compile
+    { Vivado.device; design = Design.create ~top:"state_top" [ Builder.finish b ];
+      clock_root = "clk"; freq_mhz = 50.0; replicated_units = [] }
+
+type state_bit = Ff of int | Mem of int * int * int
+
+(* Every FF and memory bit with its frame position, through the forward
+   maps alone: (slr, frame key, word * 32 + bit, the bit). *)
+let state_bits (p : Board.payload) =
+  let out = ref [] in
+  Array.iteri
+    (fun i (s : Loc.ff_site) ->
+      let minor, word, bit = Loc.ff_frame_bit s in
+      out := (s.Loc.f_slr, (s.Loc.f_row, s.Loc.f_col, minor), (word * 32) + bit, Ff i) :: !out)
+    p.Board.locmap.Loc.ff_sites;
+  Array.iteri
+    (fun mi placement ->
+      let m = p.Board.netlist.Netlist.mems.(mi) in
+      let depth = m.Netlist.mem_depth and width = m.Netlist.mem_width in
+      for addr = 0 to depth - 1 do
+        for bit = 0 to width - 1 do
+          let slr, key, pos =
+            match placement with
+            | Loc.In_bram sites ->
+              let brow, bcol, within = Loc.bram_bit_position ~depth ~addr ~bit in
+              let s = sites.((brow * ((width + 35) / 36)) + bcol) in
+              let minor, word, fbit = Geometry.bram_location ~tile:s.Loc.b_tile ~bit:within in
+              (s.Loc.b_slr, (s.Loc.b_row, s.Loc.b_col, minor), (word * 32) + fbit)
+            | Loc.In_lutram sites ->
+              let unit, bitcol, within = Loc.lutram_bit_position ~addr ~bit in
+              let s = sites.((bitcol * ((depth + 63) / 64)) + unit) in
+              let minor, word, fbit =
+                Geometry.lut_location ~tile:s.Loc.l_tile ~site:s.Loc.l_index ~bit:within
+              in
+              (s.Loc.l_slr, (s.Loc.l_row, s.Loc.l_col, minor), (word * 32) + fbit)
+          in
+          out := (slr, key, pos, Mem (mi, addr, bit)) :: !out
+        done
+      done)
+    p.Board.locmap.Loc.mem_placements;
+  !out
+
+let hops_of device slr =
+  let n = Device.num_slrs device in
+  (slr - device.Device.primary + n) mod n
+
+(* One stream per SLR through Board.execute: optionally clear the CTL0
+   GSR mask and GCAPTURE, then FDRO-read each frame. *)
+let read_state_frames board slr keys ~capture ~clear_mask =
+  let wpf = Geometry.words_per_frame in
+  let prog = Program.create () in
+  Program.sync prog;
+  Program.select_slr prog ~hops:(hops_of (Board.device board) slr);
+  if clear_mask then Program.set_ctl0 prog ~mask:1 ~value:0;
+  if capture then Program.gcapture prog;
+  List.iter
+    (fun (row, col, minor) ->
+      Program.set_far prog ~row ~col ~minor;
+      Program.read_frames prog ~words:wpf)
+    keys;
+  Program.desync prog;
+  let data = Board.execute board (Program.words prog) in
+  List.mapi (fun j key -> ((slr, key), Array.sub data (j * wpf) wpf)) keys
+
+let write_state_frames board slr frames =
+  let prog = Program.create () in
+  Program.sync prog;
+  Program.select_slr prog ~hops:(hops_of (Board.device board) slr);
+  List.iter
+    (fun ((_, (row, col, minor)), words) ->
+      Program.set_far prog ~row ~col ~minor;
+      Program.write_frames prog [ words ])
+    frames;
+  Program.grestore prog;
+  Program.desync prog;
+  ignore (Board.execute board (Program.words prog))
+
+let frame_bit words pos = (words.(pos lsr 5) lsr (pos land 31)) land 1 = 1
+
+(* Randomise the live state, then capture and read every state frame:
+   each mapped bit must read its live value (visible frames) or stay as
+   it was (frames the GSR restriction hides), and no unmapped bit may
+   move.  Then write random frames and GRESTORE: each visible bit must
+   take its frame's value, each hidden one keep its own.  [dynamic] are
+   the regions of the last partial bitstream.  Returns how many bits
+   were visible and hidden. *)
+let state_round ?(dynamic = []) st board ~clear_mask =
+  let p = Board.payload board and sim = Board.netsim board in
+  let bits = state_bits p in
+  let live = function
+    | Ff i -> Netsim.ff_value sim i
+    | Mem (mi, addr, bit) -> Netsim.mem_bit sim mi ~addr ~bit
+  in
+  let set b v =
+    match b with
+    | Ff i -> Netsim.set_ff sim i v
+    | Mem (mi, addr, bit) -> Netsim.set_mem_bit sim mi ~addr ~bit v
+  in
+  List.iter (fun (_, _, _, b) -> set b (Random.State.bool st)) bits;
+  let slrs = List.sort_uniq compare (List.map (fun (slr, _, _, _) -> slr) bits) in
+  let keys slr =
+    List.sort_uniq compare (List.filter_map (fun (s, k, _, _) -> if s = slr then Some k else None) bits)
+  in
+  let mapped = Hashtbl.create 64 in
+  List.iter
+    (fun (slr, key, pos, _) ->
+      let m =
+        match Hashtbl.find_opt mapped (slr, key) with
+        | Some m -> m
+        | None ->
+          let m = Array.make (Geometry.words_per_frame * 32) false in
+          Hashtbl.add mapped (slr, key) m;
+          m
+      in
+      if m.(pos) then Alcotest.fail "two state bits share a frame position";
+      m.(pos) <- true)
+    bits;
+  let visible (slr, (row, col, _)) =
+    (not (Uc.gsr_restricted (Board.uc board slr)))
+    || Region.contains_any dynamic ~slr ~row ~col
+  in
+  let sweep ~capture =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun slr ->
+        List.iter
+          (fun (k, w) -> Hashtbl.replace tbl k w)
+          (read_state_frames board slr (keys slr) ~capture ~clear_mask))
+      slrs;
+    tbl
+  in
+  let before = sweep ~capture:false in
+  let values = List.map (fun (slr, key, pos, b) -> (slr, key, pos, b, live b)) bits in
+  let after = sweep ~capture:true in
+  let shown = ref 0 and hidden = ref 0 in
+  List.iter
+    (fun (slr, key, pos, _, v) ->
+      let expect = if visible (slr, key) then v else frame_bit (Hashtbl.find before (slr, key)) pos in
+      if visible (slr, key) then incr shown else incr hidden;
+      if frame_bit (Hashtbl.find after (slr, key)) pos <> expect then
+        Alcotest.failf "captured bit at SLR%d frame position %d differs" slr pos)
+    values;
+  Hashtbl.iter
+    (fun k m ->
+      let b = Hashtbl.find before k and a = Hashtbl.find after k in
+      Array.iteri
+        (fun pos is_state ->
+          if (not is_state) && frame_bit a pos <> frame_bit b pos then
+            Alcotest.failf "capture moved an unmapped bit at position %d" pos)
+        m)
+    mapped;
+  let written = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun k _ ->
+      Hashtbl.replace written k
+        (Array.init Geometry.words_per_frame (fun _ ->
+             Random.State.bits st lor (Random.State.int st 4 lsl 30))))
+    mapped;
+  List.iter
+    (fun slr ->
+      write_state_frames board slr
+        (List.filter (fun ((s, _), _) -> s = slr) (List.of_seq (Hashtbl.to_seq written))))
+    slrs;
+  List.iter
+    (fun (slr, key, pos, b, v) ->
+      let expect = if visible (slr, key) then frame_bit (Hashtbl.find written (slr, key)) pos else v in
+      if live b <> expect then Alcotest.failf "restored bit at SLR%d frame position %d differs" slr pos)
+    values;
+  (!shown, !hidden)
+
+let test_state_index () =
+  let st = Random.State.make [| 22 |] in
+  let run = state_design ~bram_depth:1500 ~bram_width:40 ~lut_depth:100 ~extra:20 in
+  let kinds = Array.to_list (Array.map (fun m -> m.Netlist.mem_kind) run.Vivado.netlist.Netlist.mems) in
+  Alcotest.(check bool) "a BRAM and a LUTRAM" true
+    (List.mem Netlist.Bram_mem kinds && List.mem Netlist.Lutram_mem kinds);
+  let board = Board.create (Device.u200 ()) in
+  Vivado.load_onto board run;
+  let shown, hidden = state_round st board ~clear_mask:true in
+  Alcotest.(check bool) "full bitstream: every bit visible" true (shown > 0 && hidden = 0);
+  (* A partial bitstream over the BRAM's first column leaves CTL0's GSR
+     bit set: only that region's frames may move. *)
+  let bram =
+    match
+      Array.to_list run.Vivado.placement.Zoomie_pnr.Place.locmap.Loc.mem_placements
+      |> List.find_map (function Loc.In_bram s -> Some s.(0) | Loc.In_lutram _ -> None)
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "no BRAM placed"
+  in
+  let region =
+    Region.make ~slr:bram.Loc.b_slr ~row_lo:bram.Loc.b_row ~row_hi:bram.Loc.b_row
+      ~col_lo:bram.Loc.b_col ~col_hi:bram.Loc.b_col
+  in
+  let frames =
+    List.filter
+      (fun (fw : Zoomie_pnr.Framegen.frame_write) ->
+        let row, col, _ = fw.Zoomie_pnr.Framegen.fw_key in
+        Region.contains region ~slr:fw.Zoomie_pnr.Framegen.fw_slr ~row ~col)
+      run.Vivado.frames
+  in
+  Board.load board
+    (Zoomie_vendor.Bitgen.partial (Board.device board) ~frames ~dynamic:[ region ]
+       ~payload:(Option.get run.Vivado.bitstream.Board.bs_payload));
+  let shown, hidden = state_round ~dynamic:[ region ] st board ~clear_mask:false in
+  Alcotest.(check bool) "partial bitstream: some bits hidden, some visible" true (shown > 0 && hidden > 0);
+  (* A full reprogram with another design: the index follows the new
+     payload. *)
+  Vivado.load_onto board (state_design ~bram_depth:1100 ~bram_width:37 ~lut_depth:70 ~extra:33);
+  let shown, hidden = state_round st board ~clear_mask:true in
+  Alcotest.(check bool) "reprogrammed: every bit visible" true (shown > 0 && hidden = 0)
+
+let suite = suite @ [ Alcotest.test_case "state index == forward maps" `Quick test_state_index ]

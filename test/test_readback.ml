@@ -359,8 +359,52 @@ let test_frame_index_basics () =
     [ ((1, 2, 3), [| 0xDEAD; 0xBEEF; 7 |]); ((1, 2, 4), [| 0; 0xFFFFFFFF |]) ]
     (Frame_index.to_assoc idx ~slr:0)
 
+(* --- the first readback's cost ----------------------------------------- *)
+
+(* The first read after programming builds the board's per-frame state
+   index.  Its words per state bit do not depend on design size, so a
+   2-cluster manycore stands in for paper scale: the read must allocate
+   fewer words than the design has FF and memory bits (an index that
+   keeps anything per bit allocates several times that). *)
+let test_first_read_allocation () =
+  let open Zoomie.Zoomie_api in
+  let module Manycore = Workloads.Manycore in
+  let design, units = Manycore.design ~config:{ Manycore.default_config with Manycore.clusters = 2 } () in
+  let ring name ~requester =
+    Pause.Decoupled.make ~name ~data_width:32 ~valid:(name ^ "_valid") ~ready:(name ^ "_ready")
+      ~data:(name ^ "_data") ~mut_is_requester:requester ()
+  in
+  let project =
+    add_debug
+      (create_project design ~replicated_units:units)
+      ~mut:Manycore.debug_cluster_module
+      ~interfaces:[ ring "ring_out" ~requester:true; ring "ring_in" ~requester:false ]
+  in
+  let run = compile_vendor project in
+  let board = board project in
+  program_vendor board run;
+  let host = attach project board ~mut_path:"cluster0" in
+  let nl = (Board.payload board).Board.netlist in
+  let state_bits =
+    Array.fold_left
+      (fun n m -> n + (m.Synth.Netlist.mem_width * m.Synth.Netlist.mem_depth))
+      (Array.length nl.Synth.Netlist.ffs) nl.Synth.Netlist.mems
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  Gc.full_major ();
+  let w0 = words () in
+  ignore (Host.read_register host "core0.r1");
+  let used = words () -. w0 in
+  if used >= float_of_int state_bits then
+    Alcotest.failf "first read allocated %.0f words for %d state bits" used state_bits
+
 let suite =
   [
+    Alcotest.test_case "first read allocates less than a word per state bit" `Quick
+      test_first_read_allocation;
     Alcotest.test_case "snapshot v2 roundtrips cycle > 2^31" `Quick
       test_snapshot_cycle_past_2_31;
     Alcotest.test_case "snapshot format version" `Quick test_snapshot_version_is_2;
